@@ -490,7 +490,7 @@ func BenchmarkStoreConcurrentQueryPred(b *testing.B) {
 // vs the same documents in a single shard, both ways it is consumed:
 // "parallel" is the one-shot Forest.Query (goroutine per shard, sorted
 // runs merged slice-to-slice — scales with -cpu), "stream" is a pinned
-// ForestTxn drained entry-at-a-time through the sequential k-way merge
+// forest Txn drained entry-at-a-time through the sequential k-way merge
 // cursor (the fixed per-entry merge tax).
 func BenchmarkForestMergedDrain(b *testing.B) {
 	const docs = 16
@@ -538,7 +538,7 @@ func BenchmarkForestMergedDrain(b *testing.B) {
 				// Fresh View per iteration: a pinned Txn's predicate memo
 				// would otherwise make every iteration after the first
 				// artificially warm.
-				err := f.View(func(tx *ForestTxn) error {
+				err := f.View(func(tx *Txn) error {
 					res, err := tx.Query("//item[@id]/name")
 					if err != nil {
 						return err

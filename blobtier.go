@@ -135,13 +135,8 @@ func (s *Store) WALStats() (WALStats, bool) {
 // reconstructible, bit-identically, for as long as the tier holds it.
 //
 // The returned store is detached (no WAL): it is a snapshot of the
-// past, not a fork of the log. For a plain (non-WAL) Backend, seq must
-// name a stored snapshot version exactly (same as LoadVersion).
-func LoadAt(b Backend, seq uint64) (*Store, error) {
-	w, ok := b.(WALBackend)
-	if !ok {
-		return LoadVersion(b, seq)
-	}
+// past, not a fork of the log.
+func LoadAt(w WALBackend, seq uint64) (*Store, error) {
 	vers, err := w.Versions()
 	if err != nil {
 		return nil, err
@@ -159,13 +154,11 @@ func LoadAt(b Backend, seq uint64) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	doc, err := document.Restore(bytes.NewReader(data))
-	if err != nil {
-		return nil, err
-	}
-	s := newStore(doc)
-	if err := s.verifyRestoredRoot(); err != nil {
-		return nil, err
+	s, err := Restore(bytes.NewReader(data))
+	if err != nil || base == seq {
+		// A checkpoint exactly at seq needs no replay — and its log may
+		// already be truncated away by a later checkpoint.
+		return s, err
 	}
 	reached := base
 	if err := w.ReplaySince(base, func(q uint64, payload []byte) error {

@@ -30,7 +30,7 @@ import (
 //	                   Forest.Query scatters per-shard goroutines and
 //	                   merges sorted runs slice-to-slice — with cores it
 //	                   must stay within 1.15× of one shard. The pinned
-//	                   ForestTxn streaming drain (sequential k-way merge
+//	                   forest Txn streaming drain (sequential k-way merge
 //	                   cursor) is reported alongside for visibility into
 //	                   the per-entry merge tax.
 func expForest(c config) {
@@ -230,7 +230,7 @@ func expForest(c config) {
 	// per-shard pipelines run on their own goroutines and the sorted runs
 	// are merged slice-to-slice, so with cores available the 4-shard
 	// drain should be at worst marginally slower — and often faster —
-	// than one shard. The pinned ForestTxn drain streams entry-at-a-time
+	// than one shard. The pinned forest Txn drain streams entry-at-a-time
 	// through the k-way merge cursor: strictly sequential, it pays a
 	// fixed per-entry dispatch tax and is reported for visibility.
 	const drainExpr = "//item[@id]/name"
@@ -256,7 +256,7 @@ func expForest(c config) {
 		for r := 0; r < reps; r++ {
 			start := time.Now()
 			n = 0
-			err := f.View(func(tx *ltree.ForestTxn) error {
+			err := f.View(func(tx *ltree.Txn) error {
 				res, err := tx.Query(drainExpr)
 				if err != nil {
 					return err
@@ -300,7 +300,7 @@ func expForest(c config) {
 		return
 	}
 	streamRatio := s4.Seconds() / s1.Seconds()
-	fmt.Printf("streaming drain (pinned ForestTxn, k-way merge cursor): 1 shard %.2f ms, 4 shards %.2f ms (%.2fx)\n\n",
+	fmt.Printf("streaming drain (pinned forest Txn, k-way merge cursor): 1 shard %.2f ms, 4 shards %.2f ms (%.2fx)\n\n",
 		float64(s1.Microseconds())/1000, float64(s4.Microseconds())/1000, streamRatio)
 	recordMetric("stream_drain_ratio_4shard_vs_1shard", streamRatio, "x")
 

@@ -15,17 +15,17 @@ import (
 )
 
 // expReplica measures what log shipping buys a read replica over the
-// snapshot-restore alternative (the graviton-style versioned-snapshot
-// route): a follower applies each committed batch's logical ops through
-// the deterministic relabeling paths, so per commit it ships O(batch)
-// bytes and applies in O(batch), while a snapshot replica ships and
-// restores O(document) per refresh. Two phases over the same
+// snapshot-restore alternative: a follower applies each committed
+// batch's logical ops through the deterministic relabeling paths, so per
+// commit it ships O(batch) bytes and applies in O(batch), while a
+// snapshot replica ships and restores O(document) per refresh. Two phases over the same
 // xmark-lite insertion stream:
 //
 //	paced   one commit at a time; freshness = time from the commit
 //	        being durable on the leader to the follower acknowledging
-//	        it (reads observe it). Baseline: SaveVersion + LoadVersion
-//	        per refresh — its "freshness" is the restore cost alone,
+//	        it (reads observe it). Baseline per refresh: a full
+//	        snapshot checkpointed into a second, idle WAL, then read
+//	        back and restored — its "freshness" is the restore cost alone,
 //	        ignoring shipping, so the comparison favors the baseline.
 //	burst   every commit back-to-back while the follower applies
 //	        concurrently; reports the apply-lag profile (max observed
@@ -77,12 +77,14 @@ func expReplica(c config) {
 	}
 	defer f.Close()
 
-	// Snapshot-restore baseline replica: one full snapshot per refresh.
-	snapBackend, err := ltree.NewFileBackend(dir + "/snap")
+	// Snapshot-restore baseline replica: one full snapshot per refresh,
+	// each checkpoint replacing the last.
+	snaps, err := ltree.NewWALBackend(dir+"/snap", ltree.WALOptions{})
 	if err != nil {
 		fmt.Println("error:", err)
 		return
 	}
+	defer snaps.Close()
 
 	rng := rand.New(rand.NewSource(7))
 	parent := leader.Elements("asia")[0]
@@ -113,25 +115,28 @@ func expReplica(c config) {
 		fresh = append(fresh, time.Since(t0))
 
 		t1 := time.Now()
-		v, err := leader.SaveVersion(snapBackend)
+		var buf bytes.Buffer
+		if err := leader.Snapshot(&buf); err != nil {
+			fmt.Println("error:", err)
+			return
+		}
+		v, err := snaps.Checkpoint(buf.Bytes())
 		if err != nil {
 			fmt.Println("error:", err)
 			return
 		}
 		saveCost = append(saveCost, time.Since(t1))
 		t2 := time.Now()
-		if _, err := ltree.LoadVersion(snapBackend, v); err != nil {
-			fmt.Println("error:", err)
-			return
+		blob, err := snaps.Get(v)
+		if err == nil {
+			_, err = ltree.Restore(bytes.NewReader(blob))
 		}
-		restoreCost = append(restoreCost, time.Since(t2))
-		blob, err := snapBackend.Get(v)
 		if err != nil {
 			fmt.Println("error:", err)
 			return
 		}
+		restoreCost = append(restoreCost, time.Since(t2))
 		snapBytes = int64(len(blob))
-		_ = snapBackend.Prune(v) // keep the baseline dir O(1)
 	}
 	shipped1, records1 := w.LiveLog()
 	shippedPerCommit := float64(shipped1-shipped0) / float64(records1)

@@ -53,7 +53,6 @@ var experiments = []experiment{
 	{"chunk", "engine: chunked COW posting lists — single-op patch cost vs tag fan-in, flat baseline", expChunk},
 	{"pipeline", "engine: lazy cursor pipeline — deep-path intermediate memory + first-result latency vs materialized join", expPipeline},
 	{"replica", "engine: log-shipping follower — apply lag + freshness vs snapshot-restore baseline", expReplica},
-	{"pushdown", "engine: zig-zag join + chunk-level predicate pushdown — selectivity × depth vs the linear pipeline", expPushdown},
 	{"serve", "engine: follower fleet over the wire — aggregate queries/sec vs single store, per-follower fan-out cost", expServe},
 	{"forest", "engine: sharded forest — parallel commit pipelines, parallel recovery, k-way merged drain tax", expForest},
 	{"blob", "engine: blob storage tier — async upload commit tax, blob-seeded bootstrap, history beyond released local disk", expBlob},

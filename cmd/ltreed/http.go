@@ -37,6 +37,7 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"strings"
 	"time"
 
 	ltree "github.com/ltree-db/ltree"
@@ -111,6 +112,17 @@ func (l *leaderNode) Changes(since uint64, path string, wait time.Duration) (*lt
 	return changesSince(l.Store, since, path, wait)
 }
 
+// appendIdx resolves an insert position: a negative idx appends. Call
+// it inside the write so the child count read is the one the insert
+// lands against — read outside the store lock it races concurrent
+// writers, and two appends can land out of order.
+func appendIdx(parent *ltree.Elem, idx int) int {
+	if idx < 0 {
+		return parent.NumChildren()
+	}
+	return idx
+}
+
 func (l *leaderNode) Insert(parentExpr string, idx int, fragment string) (uint64, error) {
 	parents, err := l.Query(parentExpr)
 	if err != nil {
@@ -119,10 +131,14 @@ func (l *leaderNode) Insert(parentExpr string, idx int, fragment string) (uint64
 	if len(parents) != 1 {
 		return 0, fmt.Errorf("ltreed: parent query %q matched %d elements, need exactly 1", parentExpr, len(parents))
 	}
-	if idx < 0 {
-		idx = len(parents[0].Children())
+	frag, err := ltree.ParseXML(strings.NewReader(fragment))
+	if err != nil {
+		return 0, err
 	}
-	if _, err := l.InsertXML(parents[0], idx, fragment); err != nil {
+	err = l.Update(func(b *ltree.Batch) error {
+		return b.InsertSubtree(parents[0], appendIdx(parents[0], idx), frag.Root)
+	})
+	if err != nil {
 		return 0, err
 	}
 	return l.src.Seq(), nil
@@ -251,12 +267,12 @@ func (n *forestNode) Insert(parentExpr string, idx int, fragment string) (uint64
 	if !ok {
 		return 0, fmt.Errorf("ltreed: parent of %q is not inside a forest document", parentExpr)
 	}
-	if idx < 0 {
-		idx = len(parents[0].Children())
+	frag, err := ltree.ParseXML(strings.NewReader(fragment))
+	if err != nil {
+		return 0, err
 	}
 	err = n.Update(id, func(b *ltree.Batch, _ *ltree.Elem) error {
-		_, err := b.InsertXML(parents[0], idx, fragment)
-		return err
+		return b.InsertSubtree(parents[0], appendIdx(parents[0], idx), frag.Root)
 	})
 	if err != nil {
 		return 0, err

@@ -33,8 +33,9 @@
 //
 //   - Store: the concurrency-first engine — parallel readers over an
 //     immutable copy-on-write tag index, write batches that patch the
-//     index incrementally, versioned snapshots (this file's API; start
-//     here, and see DESIGN.md for the engine layering).
+//     index incrementally, WAL persistence whose checkpoints are the
+//     versions LoadAt restores (this file's API; start here, and see
+//     DESIGN.md for the engine layering).
 //   - Txn / Results: snapshot-isolated read transactions pinning one
 //     index version, with lazy streaming query results (DESIGN.md §3.4)
 //     evaluated by a zig-zag structural join with chunk-level predicate

@@ -51,7 +51,8 @@ var (
 
 // Persistence sentinels (snapshots, WAL).
 var (
-	// ErrNoVersion reports a missing snapshot version in a Backend.
+	// ErrNoVersion reports a missing WAL checkpoint version: LoadLatest
+	// on a WAL with no checkpoint, or LoadAt past the durable log.
 	ErrNoVersion = storage.ErrNoVersion
 
 	// ErrShipRebased reports that a leader's log was re-based past a

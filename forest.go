@@ -546,14 +546,14 @@ func withoutShardRoot(r *Results, root *Elem) *Results {
 
 // Query evaluates a path expression across every document of every
 // shard and returns the matches merged in global begin order — the same
-// order ForestTxn.Query streams. It is the forest analogue of
+// order a forest Txn's Query streams. It is the forest analogue of
 // Store.Query, and it is where the scatter actually runs in parallel:
 // one goroutine per shard drains that shard's pipeline against a
 // borrowed current version, then the per-shard (already begin-sorted)
 // match runs are merged slice-to-slice, with no per-entry cursor
 // dispatch. On N cores the pipeline work divides by min(N, shards), so
 // the one-shot drain gets faster with shards rather than paying the
-// streaming merge's per-entry tax. Open a ForestTxn (View,
+// streaming merge's per-entry tax. Open a Txn (View,
 // SnapshotView) when you need mutually consistent multi-read snapshots
 // or lazy/Seek-driven consumption instead.
 func (f *Forest) Query(expr string) ([]*Elem, error) {
@@ -740,12 +740,6 @@ func (f *Forest) Compare(a, b *Elem) (int, error) {
 	defer tx.Close()
 	return tx.Compare(a, b)
 }
-
-// ForestTxn is the forest composite read transaction. It has been
-// unified with Txn — a composite Txn carries one pinned part per shard
-// — so forest and store read paths share one type and one Reader
-// surface; the alias keeps forest call sites readable.
-type ForestTxn = Txn
 
 // ForestStats aggregates the per-shard engine counters.
 type ForestStats struct {

@@ -132,11 +132,11 @@ func (o *forestOracle) queryFPs(t *testing.T, expr string) []string {
 }
 
 // forestQueryFPs collects the same observation through the forest's
-// scatter-gather path (ForestTxn fan-out, k-way merge, DocOf).
+// scatter-gather path (forest Txn fan-out, k-way merge, DocOf).
 func forestQueryFPs(t *testing.T, f *Forest, expr string) []string {
 	t.Helper()
 	var out []string
-	err := f.View(func(tx *ForestTxn) error {
+	err := f.View(func(tx *Txn) error {
 		r, err := tx.Query(expr)
 		if err != nil {
 			return err
@@ -159,7 +159,7 @@ func forestQueryFPs(t *testing.T, f *Forest, expr string) []string {
 func forestStreamElems(t *testing.T, f *Forest, expr string) []*Elem {
 	t.Helper()
 	var out []*Elem
-	err := f.View(func(tx *ForestTxn) error {
+	err := f.View(func(tx *Txn) error {
 		r, err := tx.Query(expr)
 		if err != nil {
 			return err
@@ -658,7 +658,7 @@ func TestForestConcurrent(t *testing.T) {
 					t.Errorf("reader Query: %v", err)
 					return
 				}
-				if err := f.View(func(tx *ForestTxn) error {
+				if err := f.View(func(tx *Txn) error {
 					r := tx.Stream("*")
 					for i := 0; i < 10; i++ {
 						if el, ok := r.Next(); ok {

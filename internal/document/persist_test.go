@@ -2,7 +2,10 @@ package document
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"github.com/ltree-db/ltree/internal/storage"
@@ -114,38 +117,15 @@ func TestSnapshotRestoreContinuesWorking(t *testing.T) {
 	}
 }
 
-// TestRestoreReadsV1 feeds Restore a legacy gob (format v1) stream and
-// expects bit-identical labels — old snapshots must stay restorable.
-func TestRestoreReadsV1(t *testing.T) {
-	d := loadString(t, figure2XML, p42)
-	if _, err := d.InsertElement(d.X.Root.Child(0), 0, "D"); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.DeleteSubtree(d.X.Root.Child(1)); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := storage.WriteLegacySnapshot(&buf, d.Image()); err != nil {
-		t.Fatal(err)
-	}
-	restored, err := Restore(&buf)
+// TestRestoreRejectsV1 feeds Restore the retired gob (format v1)
+// encoding of a document: it must fail as corrupt, never half-decode.
+func TestRestoreRejectsV1(t *testing.T) {
+	v1, err := os.ReadFile(filepath.Join("..", "storage", "testdata", "golden-v1.gob"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := restored.Check(); err != nil {
-		t.Fatal(err)
-	}
-	want, got := d.tree.Nums(), restored.tree.Nums()
-	if len(want) != len(got) {
-		t.Fatalf("%d labels, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if want[i] != got[i] {
-			t.Fatalf("label %d: %d, want %d", i, got[i], want[i])
-		}
-	}
-	if restored.X.String() != d.X.String() {
-		t.Fatal("document text changed through v1 round trip")
+	if _, err := Restore(bytes.NewReader(v1)); !errors.Is(err, storage.ErrCorrupt) {
+		t.Fatalf("v1 gob stream: %v, want storage.ErrCorrupt", err)
 	}
 }
 

@@ -42,8 +42,8 @@ func FuzzParse(f *testing.F) {
 // document (shape and seed fuzzer-chosen) and a random path — steps may
 // carry attribute predicates, so the zig-zag/pushdown/memo machinery is
 // on the fuzzed surface — must yield identical streams from the
-// cursor-composed join and the materialized PR-3 oracle, for every
-// evaluator variant (full, zig-zag off, pushdown off, legacy), under a
+// cursor-composed production join (its verdict memo shared across both
+// indexes, as within one Txn) and the materialized PR-3 oracle, under a
 // full drain and under a random Next/Seek interleaving, on both the flat
 // TagIndex and a finely chunked index. The checked-in corpus
 // (testdata/fuzz/FuzzJoinPipeline) pins the seeds that cover
@@ -80,16 +80,14 @@ func FuzzJoinPipeline(f *testing.F) {
 		}
 		flat := d.BuildTagIndex()
 		chunked := index.FromSized(d.BuildTagIndex(), 1+int(shape%7))
+		memo := NewPredMemo()
 		for _, ix := range []struct {
 			tag string
 			idx Index
 		}{{"flat", flat}, {"chunked", chunked}} {
 			want := oracleEntries(t, d, ix.idx, p)
-			for _, v := range evalVariants {
-				tag := ix.tag + "/" + v.name
-				drainMatches(t, tag, expr, JoinCursorWith(ix.idx, p, v.opts), want)
-				torturePartial(t, tag, expr, JoinCursorWith(ix.idx, p, v.opts), want, rng)
-			}
+			drainMatches(t, ix.tag, expr, JoinCursorWith(ix.idx, p, prodOpts(memo)), want)
+			torturePartial(t, ix.tag, expr, JoinCursorWith(ix.idx, p, prodOpts(memo)), want, rng)
 		}
 	})
 }

@@ -107,15 +107,13 @@ func stepCursor(idx Index, st Step) document.Cursor {
 // (the cursor then rejects whole chunks whose summary proves a key
 // absent, before decoding a posting) and installs the step's shared
 // verdict memo when the evaluation carries one.
-func stepCursorOpt(idx Index, st Step, o EvalOptions, memos map[string]map[*xmldom.Node]bool) document.Cursor {
+func stepCursorOpt(idx Index, st Step, memos map[string]map[*xmldom.Node]bool) document.Cursor {
 	cur := idx.Cursor(st.Tag)
 	if len(st.Preds) == 0 {
 		return cur
 	}
-	if !o.DisablePushdown {
-		if cf, ok := cur.(document.ChunkFilter); ok {
-			cf.FilterChunks(predHashes(st.Preds))
-		}
+	if cf, ok := cur.(document.ChunkFilter); ok {
+		cf.FilterChunks(predHashes(st.Preds))
 	}
 	var memo map[*xmldom.Node]bool
 	if memos != nil {
@@ -190,7 +188,7 @@ func (m *PredMemo) step(sig string) map[*xmldom.Node]bool {
 // queries of one read transaction the steady state is pure pointer
 // probes, which beat re-walking long attribute lists.
 func predMemos(p *Path, o EvalOptions) map[string]map[*xmldom.Node]bool {
-	if o.DisableMemo || o.Memo == nil {
+	if o.Memo == nil {
 		return nil
 	}
 	var out map[string]map[*xmldom.Node]bool

@@ -27,26 +27,15 @@ import "github.com/ltree-db/ltree/internal/document"
 // live document, so a pinned snapshot never consults mutable label
 // state.
 //
-// Evaluation runs with every optimization on: the zig-zag join (both
-// sides fence-skip) and chunk-level predicate pushdown. JoinCursorWith
-// exposes the knobs for baselines and differential tests.
+// Evaluation runs the zig-zag join (both sides fence-skip) and
+// chunk-level predicate pushdown. JoinCursorWith adds a shared
+// predicate-verdict memo.
 func JoinCursor(idx Index, p *Path) document.Cursor {
 	return JoinCursorWith(idx, p, EvalOptions{})
 }
 
-// EvalOptions tunes the lazy pipeline. The zero value is production
-// behavior; the Disable knobs reconstruct earlier evaluator generations
-// for baselines, benchmarks and differential fuzzing.
+// EvalOptions carries per-evaluation state for the lazy pipeline.
 type EvalOptions struct {
-	// DisablePushdown keeps predicate evaluation entry-by-entry: no
-	// chunk-level attribute-summary rejection below the fence directory.
-	DisablePushdown bool
-	// DisableZigzag keeps the context side of every structural join
-	// pulled linearly (the PR-4 behavior): only the candidate side
-	// fence-skips.
-	DisableZigzag bool
-	// DisableMemo turns off per-step node→verdict predicate memoization.
-	DisableMemo bool
 	// Memo, when set, shares predicate verdicts across every query
 	// evaluated with it (one per Txn, mirroring the Txn label memo). Not
 	// safe for concurrent use.
@@ -59,8 +48,7 @@ func JoinCursorWith(idx Index, p *Path, o EvalOptions) document.Cursor {
 		return emptyCursor{}
 	}
 	memos := predMemos(p, o)
-	step := func(st Step) document.Cursor { return stepCursorOpt(idx, st, o, memos) }
-	zig := !o.DisableZigzag
+	step := func(st Step) document.Cursor { return stepCursorOpt(idx, st, memos) }
 	first := p.Steps[0]
 	var ctx document.Cursor
 	if p.Rooted {
@@ -77,7 +65,7 @@ func JoinCursorWith(idx Index, p *Path, o EvalOptions) document.Cursor {
 			ctx = document.NewSliceCursor([]document.Entry{root})
 		case Descendant:
 			anchor := document.NewSliceCursor([]document.Entry{root})
-			ctx = newJoinCursor(step(first), anchor, false, zig)
+			ctx = newJoinCursor(step(first), anchor, false)
 			if matchesStep(root.Node, first) {
 				// The root precedes every descendant in begin order, so
 				// prepending keeps the stream sorted (and duplicate-free:
@@ -89,7 +77,7 @@ func JoinCursorWith(idx Index, p *Path, o EvalOptions) document.Cursor {
 		ctx = step(first)
 	}
 	for _, st := range p.Steps[1:] {
-		ctx = newJoinCursor(step(st), ctx, st.Axis == Child, zig)
+		ctx = newJoinCursor(step(st), ctx, st.Axis == Child)
 	}
 	return ctx
 }
@@ -241,13 +229,12 @@ type joinCursor struct {
 	cand      document.Cursor
 	ctx       *peekCursor
 	childOnly bool
-	zigzag    bool
 	stack     []document.Entry
 	started   bool
 }
 
-func newJoinCursor(cand, ctx document.Cursor, childOnly, zigzag bool) *joinCursor {
-	return &joinCursor{cand: cand, ctx: newPeekCursor(ctx), childOnly: childOnly, zigzag: zigzag}
+func newJoinCursor(cand, ctx document.Cursor, childOnly bool) *joinCursor {
+	return &joinCursor{cand: cand, ctx: newPeekCursor(ctx), childOnly: childOnly}
 }
 
 func (j *joinCursor) Next() (document.Entry, bool) {
@@ -308,19 +295,13 @@ func (j *joinCursor) advance(cand document.Entry, ok bool) (document.Entry, bool
 		for n := len(j.stack); n > 0 && j.stack[n-1].Label.End < cand.Label.Begin; n-- {
 			j.stack = j.stack[:n-1]
 		}
-		// Pull context intervals opening before this candidate. With
-		// zig-zag on, intervals that closed before the candidate are
-		// skipped wholesale (they can never be ancestors of it or of any
-		// later candidate); only straddlers and not-yet-open intervals
-		// are surfaced.
+		// Pull context intervals opening before this candidate (zig-zag):
+		// intervals that closed before the candidate are skipped
+		// wholesale (they can never be ancestors of it or of any later
+		// candidate); only straddlers and not-yet-open intervals are
+		// surfaced.
 		for {
-			var c document.Entry
-			var have bool
-			if j.zigzag {
-				c, have = j.ctx.peekOpen(cand.Label.Begin)
-			} else {
-				c, have = j.ctx.peek()
-			}
+			c, have := j.ctx.peekOpen(cand.Label.Begin)
 			if !have || c.Label.Begin >= cand.Label.Begin {
 				break
 			}

@@ -62,19 +62,11 @@ func randomPredExpr(rng *rand.Rand) string {
 	}
 }
 
-// evalVariants is the evaluator configuration matrix every differential
-// test runs: the production default plus each optimization disabled in
-// turn, down to the PR-4 linear-context baseline. All four must agree
-// with the materialized oracle on every stream.
-var evalVariants = []struct {
-	name string
-	opts EvalOptions
-}{
-	{"full", EvalOptions{}},
-	{"nozig", EvalOptions{DisableZigzag: true}},
-	{"nopush", EvalOptions{DisablePushdown: true}},
-	{"legacy", EvalOptions{DisableZigzag: true, DisablePushdown: true, DisableMemo: true}},
-}
+// prodOpts is the evaluation every differential test holds against the
+// materialized oracle: the production pipeline (zig-zag join, predicate
+// pushdown) with one verdict memo shared across every query on the
+// document, as a Txn runs it.
+func prodOpts(memo *PredMemo) EvalOptions { return EvalOptions{Memo: memo} }
 
 // oracleEntries materializes the eager evaluator's result with labels —
 // the reference stream the lazy pipeline must reproduce under any
@@ -188,6 +180,7 @@ func TestJoinLazyVsMaterialized(t *testing.T) {
 	tags = append(tags, "item", "name", "site", "bidder", "missing")
 	rng := rand.New(rand.NewSource(7))
 	for _, dc := range docs {
+		memo := NewPredMemo()
 		flat := dc.d.BuildTagIndex()
 		chunked := index.FromSized(dc.d.BuildTagIndex(), 4) // tiny chunks: many fences
 		for trial := 0; trial < 150; trial++ {
@@ -201,12 +194,9 @@ func TestJoinLazyVsMaterialized(t *testing.T) {
 				idx Index
 			}{{dc.name + "/flat", flat}, {dc.name + "/chunk4", chunked}} {
 				want := oracleEntries(t, dc.d, ix.idx, p)
-				for _, v := range evalVariants {
-					tag := ix.tag + "/" + v.name
-					drainMatches(t, tag, expr, JoinCursorWith(ix.idx, p, v.opts), want)
-					torturePartial(t, tag, expr, JoinCursorWith(ix.idx, p, v.opts), want,
-						rand.New(rand.NewSource(int64(trial))))
-				}
+				drainMatches(t, ix.tag, expr, JoinCursorWith(ix.idx, p, prodOpts(memo)), want)
+				torturePartial(t, ix.tag, expr, JoinCursorWith(ix.idx, p, prodOpts(memo)), want,
+					rand.New(rand.NewSource(int64(trial))))
 			}
 		}
 	}
@@ -214,12 +204,13 @@ func TestJoinLazyVsMaterialized(t *testing.T) {
 
 // TestJoinCursorPredicates: attribute predicates stream through the lazy
 // pipeline identically to the oracle — on the flat index and on a finely
-// chunked one (where the pushdown path can actually reject chunks), in
-// every evaluator variant.
+// chunked one (where the pushdown path can actually reject chunks), with
+// the verdict memo shared across every query.
 func TestJoinCursorPredicates(t *testing.T) {
 	d := load(t, `<db><u role="admin"><k/></u><u><k/></u><u role="admin"/><g><u role="admin"><k id="7"/></u></g></db>`)
 	flat := d.BuildTagIndex()
 	chunked := index.FromSized(d.BuildTagIndex(), 2)
+	memo := NewPredMemo()
 	for _, expr := range []string{
 		"//u[@role='admin']", "//u[@role]/k", "/db/u[@role='admin']",
 		"//u[@role='admin']//k[@id='7']", "//u[@missing]",
@@ -235,16 +226,13 @@ func TestJoinCursorPredicates(t *testing.T) {
 			idx Index
 		}{{"flat", flat}, {"chunk2", chunked}} {
 			want := JoinMaterialized(d, ix.idx, p)
-			for _, v := range evalVariants {
-				cur := JoinCursorWith(ix.idx, p, v.opts)
-				got := document.DrainCursor(cur)
-				if len(got) != len(want) {
-					t.Fatalf("%s[%s/%s]: lazy %d, oracle %d", expr, ix.tag, v.name, len(got), len(want))
-				}
-				for i := range want {
-					if got[i].Node != want[i] {
-						t.Fatalf("%s[%s/%s]: result %d differs", expr, ix.tag, v.name, i)
-					}
+			got := document.DrainCursor(JoinCursorWith(ix.idx, p, prodOpts(memo)))
+			if len(got) != len(want) {
+				t.Fatalf("%s[%s]: lazy %d, oracle %d", expr, ix.tag, len(got), len(want))
+			}
+			for i := range want {
+				if got[i].Node != want[i] {
+					t.Fatalf("%s[%s]: result %d differs", expr, ix.tag, i)
 				}
 			}
 		}

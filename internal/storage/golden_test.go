@@ -1,18 +1,21 @@
 package storage_test
 
-// Golden-file back-compat: a v1 gob stream and a v2 binary snapshot of
-// the same document (with an edit history, so tombstones and maintenance
-// relabelings are baked in) are checked in under testdata/. Both must
-// keep loading forever — a failure here means a codec edit broke old
-// files. Regenerate ONLY on an intentional format rev:
+// Golden-file stability: a v2 binary snapshot of a document with an edit
+// history (so tombstones and maintenance relabelings are baked in) is
+// checked in under testdata/. It must keep loading and re-encode byte for
+// byte — a failure here means a codec edit broke old files. Regenerate
+// ONLY on an intentional format rev:
 //
 //	go run ./internal/storage/testdata/gen
+//
+// golden-v1.gob is the same document in the retired v1 gob format. No
+// decoder reads it any more; it stays as a rejection fixture.
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
 
 	ltree "github.com/ltree-db/ltree"
@@ -31,59 +34,57 @@ func readGolden(t *testing.T, name string) []byte {
 	return data
 }
 
-func TestGoldenSnapshotsLoad(t *testing.T) {
+// TestV1SnapshotRejected: the retired v1 gob stream is refused with
+// ErrCorrupt at the codec and at restore, not half-decoded.
+func TestV1SnapshotRejected(t *testing.T) {
 	v1 := readGolden(t, "golden-v1.gob")
+	if _, err := storage.ReadSnapshot(bytes.NewReader(v1)); !errors.Is(err, storage.ErrCorrupt) {
+		t.Fatalf("v1 gob stream: %v, want ErrCorrupt", err)
+	}
+	if _, err := ltree.Restore(bytes.NewReader(v1)); !errors.Is(err, storage.ErrCorrupt) {
+		t.Fatalf("v1 gob restore: %v, want ErrCorrupt", err)
+	}
+}
+
+func TestGoldenSnapshotsLoad(t *testing.T) {
 	v2 := readGolden(t, "golden-v2.ltsnap")
 
-	// Codec level: both streams decode, to the same image.
-	img1, err := storage.ReadSnapshot(bytes.NewReader(v1))
-	if err != nil {
-		t.Fatalf("v1 gob stream no longer decodes: %v", err)
-	}
 	img2, err := storage.ReadSnapshot(bytes.NewReader(v2))
 	if err != nil {
 		t.Fatalf("v2 snapshot no longer decodes: %v", err)
-	}
-	if !reflect.DeepEqual(img1, img2) {
-		t.Fatal("v1 and v2 goldens decode to different images")
 	}
 	if img2.Deleted == nil {
 		t.Fatal("golden lost its tombstones — regenerate with an edit history")
 	}
 
-	// Document level: both restore to working stores with identical
-	// labels, and the restored stores pass the full invariant suite.
-	for _, tc := range []struct {
-		name string
-		data []byte
-	}{{"v1", v1}, {"v2", v2}} {
-		st, err := ltree.Restore(bytes.NewReader(tc.data))
+	// Document level: the golden restores to a working store that passes
+	// the full invariant suite.
+	st, err := ltree.Restore(bytes.NewReader(v2))
+	if err != nil {
+		t.Fatalf("v2 golden no longer restores: %v", err)
+	}
+	if got := st.String(); got != goldenXML {
+		t.Fatalf("v2 golden restored wrong document:\n got %s\nwant %s", got, goldenXML)
+	}
+	if err := st.Check(); err != nil {
+		t.Fatalf("v2 golden restored an inconsistent store: %v", err)
+	}
+	// Predicate pushdown back-compat: the golden predates per-chunk
+	// attribute summaries and maxEnd fences, and the byte-stability check
+	// below pins that the snapshot format still does not carry them —
+	// they are rebuilt from the document on restore. Check() above
+	// verifies the rebuilt fences via index.Verify; a predicate query
+	// over the restored index exercises them end to end.
+	for _, q := range []struct {
+		expr string
+		want int
+	}{{"//item[@id='2']", 1}, {"//item[@id]", 2}, {"//item[@id='9']", 0}} {
+		res, err := st.Query(q.expr)
 		if err != nil {
-			t.Fatalf("%s golden no longer restores: %v", tc.name, err)
+			t.Fatalf("v2 golden: %s: %v", q.expr, err)
 		}
-		if got := st.String(); got != goldenXML {
-			t.Fatalf("%s golden restored wrong document:\n got %s\nwant %s", tc.name, got, goldenXML)
-		}
-		if err := st.Check(); err != nil {
-			t.Fatalf("%s golden restored an inconsistent store: %v", tc.name, err)
-		}
-		// Predicate pushdown back-compat: the goldens predate per-chunk
-		// attribute summaries and maxEnd fences, and the byte-stability
-		// check below pins that the snapshot format still does not carry
-		// them — they are rebuilt from the document on restore. Check()
-		// above verifies the rebuilt fences via index.Verify; a predicate
-		// query over the restored index exercises them end to end.
-		for _, q := range []struct {
-			expr string
-			want int
-		}{{"//item[@id='2']", 1}, {"//item[@id]", 2}, {"//item[@id='9']", 0}} {
-			res, err := st.Query(q.expr)
-			if err != nil {
-				t.Fatalf("%s golden: %s: %v", tc.name, q.expr, err)
-			}
-			if len(res) != q.want {
-				t.Fatalf("%s golden: %s returned %d results, want %d", tc.name, q.expr, len(res), q.want)
-			}
+		if len(res) != q.want {
+			t.Fatalf("v2 golden: %s returned %d results, want %d", q.expr, len(res), q.want)
 		}
 	}
 

@@ -1,13 +1,14 @@
-// Command gen regenerates the golden back-compat snapshots in
-// internal/storage/testdata: a v1 gob stream and a v2 binary snapshot of
-// the same deterministic document (edits included, so tombstones and
-// non-trivial labels are exercised). Run from the repo root:
+// Command gen regenerates the golden snapshot in internal/storage/testdata:
+// a v2 binary snapshot of a deterministic document (edits included, so
+// tombstones and non-trivial labels are exercised). Run from the repo
+// root:
 //
 //	go run ./internal/storage/testdata/gen
 //
-// The goldens exist so future codec edits cannot silently break loading
-// of old files — regenerate them ONLY when intentionally revving the
-// format, and keep the old files loadable.
+// The golden exists so future codec edits cannot silently break loading
+// of old files — regenerate it ONLY when intentionally revving the
+// format. golden-v1.gob, the retired gob encoding, is a frozen rejection
+// fixture; nothing writes it any more.
 package main
 
 import (
@@ -18,7 +19,6 @@ import (
 	"path/filepath"
 
 	ltree "github.com/ltree-db/ltree"
-	"github.com/ltree-db/ltree/internal/storage"
 )
 
 func main() {
@@ -46,20 +46,15 @@ func main() {
 	}
 
 	dir := filepath.Join("internal", "storage", "testdata")
+	// The document-level snapshot carries no index-root stamp: the
+	// golden predates stamping, and this keeps it byte-identical.
 	var v2 bytes.Buffer
-	if err := st.Snapshot(&v2); err != nil {
+	if err := st.Document().Snapshot(&v2); err != nil {
 		log.Fatal(err)
 	}
 	if err := os.WriteFile(filepath.Join(dir, "golden-v2.ltsnap"), v2.Bytes(), 0o644); err != nil {
 		log.Fatal(err)
 	}
-	var v1 bytes.Buffer
-	if err := storage.WriteLegacySnapshot(&v1, st.Document().Image()); err != nil {
-		log.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "golden-v1.gob"), v1.Bytes(), 0o644); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("wrote golden-v2.ltsnap (%d bytes) and golden-v1.gob (%d bytes)\n", v2.Len(), v1.Len())
+	fmt.Printf("wrote golden-v2.ltsnap (%d bytes)\n", v2.Len())
 	fmt.Printf("document: %s\n", st.String())
 }

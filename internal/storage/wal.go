@@ -13,7 +13,48 @@ import (
 	"sync"
 )
 
-// WAL is a write-ahead-logged Backend: commits append one fsync'd framed
+// WALBackend is the persistence surface the engine runs on: commits
+// append framed change batches to a write-ahead log, a checkpoint writes
+// a full snapshot and truncates the log, and recovery is the newest
+// checkpoint plus a replay of the durable log tail. Checkpoints double
+// as the addressable versions: LoadAt restores the newest one at or
+// below a sequence number and replays up to it.
+//
+// The *WAL type is the file-backed implementation; RemoteTailSource is a
+// read-only one over the replication wire.
+type WALBackend interface {
+	// AppendBatch appends one encoded change batch (an EncodeOps payload)
+	// as the next log record and returns its sequence number (sequence
+	// numbers start at 1 and grow by one per batch).
+	AppendBatch(payload []byte) (uint64, error)
+	// ReplaySince streams every durable batch with sequence number >
+	// since, in order. A torn or corrupt log tail ends the replay
+	// silently — recovery semantics are "longest durable prefix".
+	ReplaySince(since uint64, fn func(seq uint64, payload []byte) error) error
+	// Checkpoint stores snapshot as covering every batch appended so far
+	// and truncates the log; it returns the checkpoint's version (the
+	// covered sequence number).
+	Checkpoint(snapshot []byte) (uint64, error)
+	// Get returns the checkpoint snapshot stored under the version.
+	Get(version uint64) ([]byte, error)
+	// Latest returns the newest checkpoint's version and snapshot;
+	// ErrNoVersion when there is none.
+	Latest() (uint64, []byte, error)
+	// Versions lists the checkpoint versions in ascending order.
+	Versions() ([]uint64, error)
+	// Prune removes every checkpoint strictly below keep; the newest one
+	// always survives, since the log after it is the live tail.
+	Prune(keep uint64) error
+	// Sync makes group-committed appends durable.
+	Sync() error
+	// Close flushes and releases the log; appending afterwards fails.
+	Close() error
+}
+
+// ErrNoVersion reports a missing checkpoint version.
+var ErrNoVersion = errors.New("storage: no such snapshot version")
+
+// WAL is the file-backed WALBackend: commits append one fsync'd framed
 // record to a log segment instead of rewriting a snapshot, and a
 // checkpoint writes a full snapshot and truncates the log. The recovery
 // contract is graviton-style append-only durability: after any crash,
@@ -31,11 +72,10 @@ import (
 //	                    + base as uint64 LE; then framed records
 //	                    (walrecord.go).
 //
-// As a Backend, a WAL's versions are its checkpoints: Put == Checkpoint,
-// Get/Latest/Versions/Prune address checkpoint snapshots. Because a
-// checkpoint's version is the sequence number it covers, two checkpoints
-// with no batches between them share a version (same state, same number)
-// — the only departure from the plain backends' strictly-growing Put.
+// A WAL's versions are its checkpoints: Get/Latest/Versions/Prune
+// address checkpoint snapshots. Because a checkpoint's version is the
+// sequence number it covers, two checkpoints with no batches between them
+// share a version (same state, same number).
 type WAL struct {
 	mu       sync.Mutex
 	dir      string
@@ -923,12 +963,9 @@ func (w *WAL) RetentionStats() RetentionStats {
 	return rs
 }
 
-// ---------------------------------------------------------------- Backend
+// ---------------------------------------------------------- checkpoints
 
-// Put implements Backend: for a WAL, storing a snapshot is a checkpoint.
-func (w *WAL) Put(data []byte) (uint64, error) { return w.Checkpoint(data) }
-
-// Get implements Backend over checkpoint snapshots. A checkpoint missing
+// Get implements WALBackend over checkpoint snapshots. A checkpoint missing
 // locally (pruned after upload) is fetched back from the blob tier.
 func (w *WAL) Get(version uint64) ([]byte, error) {
 	data, err := os.ReadFile(w.ckptPath(version))
@@ -966,9 +1003,9 @@ func (w *WAL) checkpointVersions() ([]uint64, error) {
 	return cks, nil
 }
 
-// Latest implements Backend: the newest checkpoint snapshot. Batches
+// Latest implements WALBackend: the newest checkpoint snapshot. Batches
 // appended after it are not reflected — recovery is Latest + ReplaySince
-// (the Store's LoadLatest does exactly that for WAL backends).
+// (the Store's LoadLatest does exactly that).
 func (w *WAL) Latest() (uint64, []byte, error) {
 	cks, err := w.checkpointVersions()
 	if err != nil {
@@ -982,11 +1019,11 @@ func (w *WAL) Latest() (uint64, []byte, error) {
 	return v, data, err
 }
 
-// Versions implements Backend: the checkpoint versions, ascending —
+// Versions implements WALBackend: the checkpoint versions, ascending —
 // blob-tier checkpoints included.
 func (w *WAL) Versions() ([]uint64, error) { return w.checkpointVersions() }
 
-// Prune implements Backend: drops LOCAL checkpoints strictly below keep,
+// Prune implements WALBackend: drops LOCAL checkpoints strictly below keep,
 // always retaining the newest one (the log after it is the live tail).
 // Blob-tier copies are untouched — the tier's history is bottomless by
 // design, so a pruned version stays addressable through Get.

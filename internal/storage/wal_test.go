@@ -133,7 +133,7 @@ func TestWALBackendVersions(t *testing.T) {
 	if _, _, err := w.Latest(); !errors.Is(err, ErrNoVersion) {
 		t.Fatalf("Latest on empty WAL: %v, want ErrNoVersion", err)
 	}
-	if _, err := w.Put([]byte("base")); err != nil { // Put == Checkpoint
+	if _, err := w.Checkpoint([]byte("base")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := w.AppendBatch(payloadN(1)); err != nil {
@@ -165,6 +165,57 @@ func TestWALBackendVersions(t *testing.T) {
 	vs, _ = w.Versions()
 	if !reflect.DeepEqual(vs, []uint64{2}) {
 		t.Fatalf("versions after prune: %v, want [2]", vs)
+	}
+}
+
+// TestBackendVersioning pins the checkpoint-version contract: versions
+// grow with the log, Get reads any retained one, Prune drops older ones
+// but never the newest, so version numbers are never reissued.
+func TestBackendVersioning(t *testing.T) {
+	w, err := OpenWAL(t.TempDir(), WALOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	checkpoint := func(i int, snap string) uint64 {
+		t.Helper()
+		if _, err := w.AppendBatch(payloadN(i)); err != nil {
+			t.Fatal(err)
+		}
+		v, err := w.Checkpoint([]byte(snap))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	if _, _, err := w.Latest(); !errors.Is(err, ErrNoVersion) {
+		t.Fatalf("empty Latest = %v", err)
+	}
+	v1, v2 := checkpoint(1, "one"), checkpoint(2, "two")
+	if v2 <= v1 {
+		t.Fatalf("versions not increasing: %d then %d", v1, v2)
+	}
+	if got, _ := w.Get(v1); string(got) != "one" {
+		t.Fatalf("Get(v1) = %q", got)
+	}
+	if latest, data, err := w.Latest(); err != nil || latest != v2 || string(data) != "two" {
+		t.Fatalf("Latest = %d %q %v", latest, data, err)
+	}
+	if err := w.Prune(v2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Get(v1); !errors.Is(err, ErrNoVersion) {
+		t.Fatalf("pruned Get = %v", err)
+	}
+	// The newest version survives even an over-eager prune.
+	if err := w.Prune(v2 + 10); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := w.Get(v2); string(got) != "two" {
+		t.Fatal("prune deleted the newest version")
+	}
+	if v3 := checkpoint(3, "three"); v3 <= v2 {
+		t.Fatalf("version reissued after prune: %d then %d", v2, v3)
 	}
 }
 

@@ -349,8 +349,8 @@ func (s *Store) Elements(tag string) []*Elem {
 // A Batch is not a transaction: an error from fn rolls nothing back —
 // the commit still publishes (and, with a WAL attached, logs) whatever fn
 // changed, keeping the index and the log in sync with the document.
-// Callers needing rollback should SaveVersion first and LoadVersion on
-// failure.
+// Callers needing rollback should Checkpoint first and recover the
+// checkpoint's version with LoadAt on failure.
 func (s *Store) Update(fn func(*Batch) error) (err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -516,8 +516,8 @@ func (s *Store) snapshotLocked(w io.Writer) error {
 // equal index content; see DESIGN.md §10.
 func (s *Store) RootHash() Hash { return s.vers.Current().Ix.RootHash() }
 
-// Restore reconstructs a Store from a Snapshot stream (format v2 or the
-// legacy v1 gob format).
+// Restore reconstructs a Store from a Snapshot stream (format v2; any
+// other stream fails with a corrupt-snapshot error).
 func Restore(r io.Reader) (*Store, error) {
 	doc, err := document.Restore(r)
 	if err != nil {
@@ -549,21 +549,10 @@ func (s *Store) verifyRestoredRoot() error {
 	return nil
 }
 
-// Backend is a versioned snapshot store: every save appends a new
-// version, old versions stay readable until pruned. See DESIGN.md §5.3.
-type Backend = storage.Backend
-
-// NewMemoryBackend returns an in-process Backend (tests, ephemeral
-// stores).
-func NewMemoryBackend() Backend { return storage.NewMemory() }
-
-// NewFileBackend opens (creating if needed) a directory-backed Backend:
-// one file per version, crash-safe writes.
-func NewFileBackend(dir string) (Backend, error) { return storage.NewFile(dir) }
-
-// WALBackend is a write-ahead-logged Backend: commits append one framed,
+// WALBackend is the store's persistence: commits append one framed,
 // CRC-checked, fsync'd record per batch instead of rewriting a snapshot;
-// a checkpoint writes a snapshot and truncates the log. See DESIGN.md §6.
+// a checkpoint writes a snapshot and truncates the log, and checkpoints
+// are the versions LoadAt restores from. See DESIGN.md §6.
 type WALBackend = storage.WALBackend
 
 // WALOptions tunes a WAL backend (group-commit sync cadence).
@@ -660,7 +649,7 @@ func (s *Store) Checkpoint() (uint64, error) {
 // calls it from inside an already-locked commit.
 func (s *Store) checkpointLocked() (uint64, error) {
 	if s.wal == nil {
-		return 0, errors.New("ltree: no WAL attached (WithWAL, or LoadLatest on a WAL backend)")
+		return 0, errors.New("ltree: no WAL attached (WithWAL, or LoadLatest)")
 	}
 	// Fold any uncommitted state (direct Document() mutations since the
 	// last commit) into this checkpoint: publish the index and discard
@@ -739,20 +728,17 @@ func (s *Store) applyShippedLocked(payload []byte) error {
 	return nil
 }
 
-// loadWAL recovers a store from a WAL backend: newest checkpoint plus a
-// replay of the durable log tail. The WAL stays attached — subsequent
-// commits keep appending where the log left off.
-func loadWAL(w WALBackend) (*Store, error) {
+// LoadLatest recovers a Store from a WAL: the newest checkpoint plus a
+// replay of the durable log tail (torn or corrupt tail records are
+// discarded). The WAL stays attached — commits keep appending where the
+// log left off.
+func LoadLatest(w WALBackend) (*Store, error) {
 	seq, data, err := w.Latest()
 	if err != nil {
 		return nil, err
 	}
-	doc, err := document.Restore(bytes.NewReader(data))
+	s, err := Restore(bytes.NewReader(data))
 	if err != nil {
-		return nil, err
-	}
-	s := newStore(doc)
-	if err := s.verifyRestoredRoot(); err != nil {
 		return nil, err
 	}
 	s.doc.TrackOps()
@@ -763,42 +749,6 @@ func loadWAL(w WALBackend) (*Store, error) {
 	}
 	s.wal = w
 	return s, nil
-}
-
-// SaveVersion snapshots the store into a storage backend as the next
-// version and returns its number. Old versions stay readable until
-// pruned, so a mis-applied batch can be rolled back by loading an
-// earlier version.
-func (s *Store) SaveVersion(b Backend) (uint64, error) {
-	var buf bytes.Buffer
-	if err := s.Snapshot(&buf); err != nil {
-		return 0, err
-	}
-	return b.Put(buf.Bytes())
-}
-
-// LoadVersion reconstructs a Store from one stored snapshot version.
-func LoadVersion(b Backend, version uint64) (*Store, error) {
-	data, err := b.Get(version)
-	if err != nil {
-		return nil, err
-	}
-	return Restore(bytes.NewReader(data))
-}
-
-// LoadLatest reconstructs a Store from the newest stored snapshot. For a
-// WAL backend this is crash recovery: the newest checkpoint plus a replay
-// of the durable log tail (torn or corrupt tail records are discarded),
-// and the WAL stays attached so commits keep appending.
-func LoadLatest(b Backend) (*Store, error) {
-	if w, ok := b.(WALBackend); ok {
-		return loadWAL(w)
-	}
-	_, data, err := b.Latest()
-	if err != nil {
-		return nil, err
-	}
-	return Restore(bytes.NewReader(data))
 }
 
 // Compact rebuilds the label tree without tombstones (extension; see

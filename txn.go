@@ -39,8 +39,7 @@ import (
 // with Query/Stream/Elements/Count fanning out and merging in global
 // begin order, and the label reads (Label, IsAncestor, Compare)
 // resolving in the owning shard's coordinate space. Shards/ShardTxn
-// expose the parts. ForestTxn is an alias of Txn kept for readability
-// at forest call sites.
+// expose the parts.
 type Txn struct {
 	s       *Store
 	ver     *index.Version
